@@ -235,7 +235,7 @@ func writeIngestBench(path string, datasets []*datagen.Dataset, seed int64, scal
 }
 
 // queryDatasetJSON profiles the query path of one benchmark: index
-// build and snapshot round-trip cost, eager-vs-mapped cold start from
+// build and snapshot round-trip cost, full-vs-lazy cold start from
 // the snapshot file, then the latency of resolving every KB2 entity
 // one query at a time against the loaded index.
 type queryDatasetJSON struct {
@@ -246,10 +246,10 @@ type queryDatasetJSON struct {
 	BuildNano     int64  `json:"build_ns"`
 	SnapshotBytes int    `json:"snapshot_bytes"`
 	SaveNano      int64  `json:"save_ns"`
-	// LoadNano and LoadFirstQueryNano are the eager cold start:
+	// LoadNano and LoadFirstQueryNano are the full cold start:
 	// LoadIndexFile (decode everything) plus the first query. OpenNano
 	// and OpenFirstQueryNano are the mapped cold start: OpenIndexFile
-	// (map, decode the eager tier only) plus the first query.
+	// (map, decode the open-time tier only) plus the first query.
 	// ColdStartSpeedup is (load+first)/(open+first) — how much sooner a
 	// mapped server answers its first query.
 	LoadNano           int64   `json:"load_ns"`
@@ -362,7 +362,7 @@ func writeQueryBench(path string, seed int64, scale float64) error {
 		}
 		saveNano := time.Since(t0).Nanoseconds()
 
-		// Cold start from a real snapshot file, eager vs mapped: each
+		// Cold start from a real snapshot file, full vs lazy: each
 		// rep opens the file from scratch and answers one query.
 		snapFile, err := os.CreateTemp("", "benchtables-*.msnp")
 		if err != nil {
@@ -389,7 +389,8 @@ func writeQueryBench(path string, seed int64, scale float64) error {
 
 		// Bit-identity guards for the mapped path: a small delta through
 		// the (lazily decoded) prepared substrate, then the full query
-		// sweep below compares every answer against the eager index.
+		// sweep below compares every answer against the fully loaded
+		// index.
 		delta, err := smallDelta(b, 4)
 		if err != nil {
 			return err

@@ -442,23 +442,6 @@ func prepFromCache(kb1 *kb.KB, cfg Config, cache *pipeline.Cache) *pipeline.Prep
 // or still mapped — or derived by a mutation).
 func (ix *Index) Prepared() bool { return ix.cur.Load().hasPrepared() }
 
-// setPreparedSide installs a substrate restored from a snapshot (load
-// time, before the index is shared).
-func (ix *Index) setPreparedSide(p *pipeline.Prepared) {
-	e := ix.cur.Load()
-	e.prep = p
-	e.sharded = shardedFromPrep(e.prep, e.cache, e.shards)
-}
-
-// setShards installs the shard count restored from a snapshot (load
-// time, before the index is shared), deriving the partitioned
-// substrate when the prepared side is already present.
-func (ix *Index) setShards(k int) {
-	e := ix.cur.Load()
-	e.shards = normalizeShards(k)
-	e.sharded = shardedFromPrep(e.prep, e.cache, e.shards)
-}
-
 // QueryKB resolves a delta KB — one entity or a small batch of new
 // descriptions — against the index's first KB. When the prepared
 // substrate is available (see Prepare) and the delta is smaller than
@@ -756,13 +739,19 @@ func (ix *Index) Compact() {
 	ix.compactions.Add(1)
 	ix.journal = nil
 	ix.journalLen.Store(0)
-	if ix.mut != nil {
-		ix.mut.store1.Compact()
-		ix.mut.store2.Compact()
-	}
 	e := ix.cur.Load()
+	if ix.mut == nil && e.cache == nil {
+		return
+	}
+	ne := e.clone()
+	if ix.mut != nil {
+		// Publish the KBs with their compacted term tables: a snapshot
+		// taken before the next mutation then reloads into stores equal
+		// to these, so a replica resyncing from it stays bit-identical.
+		ne.kb1 = &KB{kb: ix.mut.store1.Compact()}
+		ne.kb2 = &KB{kb: ix.mut.store2.Compact()}
+	}
 	if e.cache != nil {
-		ne := e.clone()
 		cache := *e.cache
 		cache.Prep1 = cache.Prep1.Flatten()
 		cache.Prep2 = cache.Prep2.Flatten()
@@ -780,8 +769,8 @@ func (ix *Index) Compact() {
 			ne.prep = &prep
 		}
 		ne.sharded = shardedFromPrep(ne.prep, ne.cache, ne.shards)
-		ix.cur.Store(ne)
 	}
+	ix.cur.Store(ne)
 }
 
 // Shards returns the index's configured shard count (1 = unsharded).
@@ -1042,16 +1031,6 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadIndexFile reads an index snapshot from a file.
-func LoadIndexFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadIndex(f)
 }
 
 // pipelineProgress adapts the public progress callback to the pipeline

@@ -85,7 +85,7 @@ func InspectIndexFile(path string) (*SnapshotInfo, error) {
 			return SnapshotKBInfo{}, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, name)
 		}
 		if !kb.LazyCapable(raw) {
-			// Pre-sectioned KB images decode eagerly; their snapshot
+			// Pre-sectioned KB images decode in full; their snapshot
 			// section's checksum stands in for the missing inner ones.
 			if raw, err = m.Section(id); err != nil {
 				return SnapshotKBInfo{}, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)

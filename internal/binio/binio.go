@@ -29,8 +29,8 @@ const EndSection = 0
 
 // maxSectionBytes bounds a single section payload; a longer length
 // prefix marks corruption (or an absurd file) and is rejected outright.
-// Within the bound, payloads are read incrementally (readN), so a
-// damaged length never provokes one huge up-front allocation.
+// Within the bound, a payload longer than the bytes that remain fails
+// the readN bounds check, so a damaged length never allocates.
 const maxSectionBytes = 1 << 32
 
 // maxStringBytes bounds a single string; longer length prefixes mark
@@ -158,75 +158,29 @@ func (w *Writer) Section(id uint64, fn func(*Writer)) {
 // End terminates the section stream.
 func (w *Writer) End() { w.Uvarint(EndSection) }
 
-// Reader decodes primitives from an io.Reader with a sticky error.
-// After any failure, subsequent reads return zero values; callers check
-// Err once.
+// Reader decodes primitives from an in-memory image with a sticky
+// error. After any failure, subsequent reads return zero values;
+// callers check Err once.
 //
-// A Reader constructed with NewBytesReader runs in data mode: reads are
-// bounds checks plus position bumps over the backing slice, and bulk
-// reads (readN, Blob, section payloads) return subslices of it instead
-// of copying. Strings still copy (Str builds a Go string), so decoded
-// structures never alias the backing slice through a string.
+// Reads are bounds checks plus position bumps over the backing slice,
+// and bulk reads (readN, Blob, section payloads) return subslices of it
+// instead of copying. Strings still copy (Str builds a Go string), so
+// decoded structures never alias the backing slice through a string.
+// Because the whole input is in hand, a damaged length prefix is caught
+// by a bounds check against the bytes that remain, and Capacity bounds
+// count-driven pre-allocations the same way.
 type Reader struct {
-	r    io.ByteReader
-	in   io.Reader
-	data []byte // data mode: backing slice (nil in stream mode)
-	pos  int    // data mode: read position within data
+	data []byte
+	pos  int
 	err  error
 }
 
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	type byteReader interface {
-		io.Reader
-		io.ByteReader
-	}
-	br, ok := r.(byteReader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	return &Reader{r: br, in: br}
-}
-
-// NewBytesReader returns a data-mode Reader over data: bulk reads
-// return subslices of data rather than copies, so they are valid only
-// as long as data is (in particular, until a backing mapping is
-// unmapped). All other semantics match NewReader over a bytes.Reader.
+// NewBytesReader returns a Reader over data. Bulk reads return
+// subslices of data rather than copies, so they are valid only as long
+// as data is (in particular, until a backing mapping is unmapped).
 func NewBytesReader(data []byte) *Reader {
-	r := &Reader{data: data}
-	s := &sliceStream{r: r}
-	r.r, r.in = s, s
-	return r
+	return &Reader{data: data}
 }
-
-// sliceStream adapts a data-mode Reader's backing slice to the
-// io.Reader/io.ByteReader/Len surface the stream-mode code paths
-// expect, sharing the Reader's position so nested stream decoders
-// (Embedded) advance the parent.
-type sliceStream struct{ r *Reader }
-
-func (s *sliceStream) Read(p []byte) (int, error) {
-	d := s.r
-	if d.pos >= len(d.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, d.data[d.pos:])
-	d.pos += n
-	return n, nil
-}
-
-func (s *sliceStream) ReadByte() (byte, error) {
-	d := s.r
-	if d.pos >= len(d.data) {
-		return 0, io.EOF
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b, nil
-}
-
-// Len reports the unread byte count (makes More precise in data mode).
-func (s *sliceStream) Len() int { return len(s.r.data) - s.r.pos }
 
 // Err returns the latched error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -243,19 +197,12 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if r.data != nil {
-		v, k := binary.Uvarint(r.data[r.pos:])
-		if k <= 0 {
-			r.Fail("truncated or overlong varint")
-			return 0
-		}
-		r.pos += k
-		return v
+	v, k := binary.Uvarint(r.data[r.pos:])
+	if k <= 0 {
+		r.Fail("truncated or overlong varint")
+		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	r.pos += k
 	return v
 }
 
@@ -296,35 +243,33 @@ func (r *Reader) Str() string {
 	return string(r.readN(n))
 }
 
-// readN reads exactly n bytes. In data mode it returns a capacity-
-// clipped subslice of the backing slice (zero copy; a damaged length
-// prefix is caught by a bounds check before any int conversion). In
-// stream mode the buffer grows with the bytes actually arriving
-// (io.CopyN over a growing buffer) rather than being allocated up
-// front, so a corrupt length prefix on a short stream fails with
-// ErrCorrupt and modest memory instead of attempting one huge
-// allocation — and values beyond the platform's int cannot overflow a
-// make call.
+// readN reads exactly n bytes as a capacity-clipped subslice of the
+// backing slice (zero copy). A damaged length prefix is caught by a
+// bounds check before any int conversion, so it never reaches a make
+// call.
 func (r *Reader) readN(n uint64) []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	if r.data != nil {
-		if n > uint64(len(r.data)-r.pos) {
-			r.Fail("truncated: %d bytes wanted, %d remain", n, len(r.data)-r.pos)
-			return nil
-		}
-		end := r.pos + int(n)
-		p := r.data[r.pos:end:end]
-		r.pos = end
-		return p
-	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r.in, int64(n)); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if n > uint64(r.Remaining()) {
+		r.Fail("truncated: %d bytes wanted, %d remain", n, r.Remaining())
 		return nil
 	}
-	return buf.Bytes()
+	end := r.pos + int(n)
+	p := r.data[r.pos:end:end]
+	r.pos = end
+	return p
+}
+
+// Remaining reports the number of unread bytes.
+func (r *Reader) Remaining() int { return len(r.data) - r.pos }
+
+// Capacity bounds a pre-allocation for n elements, each encoded in at
+// least minBytes bytes, by what the unread bytes can still hold. A
+// corrupt count then fails by truncation without first committing an
+// allocation the input could never fill.
+func (r *Reader) Capacity(n uint64, minBytes int) int {
+	return int(min(n, uint64(r.Remaining()/minBytes)))
 }
 
 // Float reads a float64 written by Writer.Float.
@@ -332,23 +277,16 @@ func (r *Reader) Float() float64 {
 	return math.Float64frombits(r.Uvarint())
 }
 
-// Skip advances past n raw bytes without materializing them — a
-// position bump in data mode, a discard copy in stream mode.
+// Skip advances past n raw bytes without materializing them.
 func (r *Reader) Skip(n uint64) {
 	if r.err != nil || n == 0 {
 		return
 	}
-	if r.data != nil {
-		if n > uint64(len(r.data)-r.pos) {
-			r.Fail("truncated: %d bytes to skip, %d remain", n, len(r.data)-r.pos)
-			return
-		}
-		r.pos += int(n)
+	if n > uint64(r.Remaining()) {
+		r.Fail("truncated: %d bytes to skip, %d remain", n, r.Remaining())
 		return
 	}
-	if _, err := io.CopyN(io.Discard, r.in, int64(n)); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	r.pos += int(n)
 }
 
 // SkipStr skips one length-prefixed string without building it —
@@ -367,12 +305,7 @@ func (r *Reader) SkipStr() {
 
 // ReadFull fills buf with raw bytes (the counterpart of Writer.Raw).
 func (r *Reader) ReadFull(buf []byte) {
-	if r.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(r.in, buf); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	copy(buf, r.readN(uint64(len(buf))))
 }
 
 // Blob reads a length-prefixed byte slice written by Writer.Blob.
@@ -388,28 +321,11 @@ func (r *Reader) Blob() []byte {
 	return r.readN(n)
 }
 
-// Embedded returns the reader's remaining stream for a nested decoder
-// to consume directly (the counterpart of Writer.Embed). The nested
-// decoder advances this reader; interleave with primitive reads only
-// after it finishes.
-func (r *Reader) Embedded() io.Reader {
-	return r.in
-}
-
-// More reports whether unread bytes remain. It is precise for
-// in-memory readers — in particular the section bodies Sections()
-// returns, where it distinguishes "older payload that ends here" from
-// "payload with trailing fields" for backward-compatible section
-// extensions. On streaming readers it conservatively reports false.
+// More reports whether unread bytes remain. On a section body it
+// distinguishes "older payload that ends here" from "payload with
+// trailing fields" for backward-compatible section extensions.
 func (r *Reader) More() bool {
-	if r.err != nil {
-		return false
-	}
-	type lener interface{ Len() int }
-	if l, ok := r.in.(lener); ok {
-		return l.Len() > 0
-	}
-	return false
+	return r.err == nil && r.Remaining() > 0
 }
 
 // Magic consumes a 4-byte magic number and fails unless it matches.
@@ -490,8 +406,9 @@ func (r *Reader) Section() (uint64, *Reader) {
 		return EndSection, nil
 	}
 	var sum [4]byte
-	if _, err := io.ReadFull(r.in, sum[:]); err != nil {
-		r.err = fmt.Errorf("%w: section %d checksum truncated: %v", ErrCorrupt, id, err)
+	r.ReadFull(sum[:])
+	if r.err != nil {
+		r.err = fmt.Errorf("section %d checksum truncated: %w", id, r.err)
 		return EndSection, nil
 	}
 	want := binary.LittleEndian.Uint32(sum[:])

@@ -20,11 +20,13 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.Str("hello, κόσμος")
 	w.Float(math.Pi)
 	w.Float(math.Inf(-1))
+	w.Str("skipped")
+	w.Blob([]byte{9, 8, 7})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
+	r := NewBytesReader(buf.Bytes())
 	if got := r.Uvarint(); got != 0 {
 		t.Errorf("uvarint = %d", got)
 	}
@@ -49,8 +51,52 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.Float(); !math.IsInf(got, -1) {
 		t.Errorf("float = %v", got)
 	}
+	if !r.More() {
+		t.Error("More() false before the skipped string")
+	}
+	r.SkipStr()
+	if got := r.Blob(); !bytes.Equal(got, []byte{9, 8, 7}) {
+		t.Errorf("blob = %v", got)
+	}
+	if r.More() {
+		t.Error("More() after end")
+	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every truncation surfaces as the sticky error.
+	data := buf.Bytes()
+	for cut := 0; cut < len(data); cut++ {
+		r := NewBytesReader(data[:cut])
+		r.Uvarint()
+		r.Uvarint()
+		r.Int()
+		r.Bool()
+		r.Bool()
+		r.Str()
+		r.Str()
+		r.Float()
+		r.Float()
+		r.SkipStr()
+		r.Blob()
+		if !errors.Is(r.Err(), ErrCorrupt) {
+			t.Fatalf("cut at %d: truncated input decoded cleanly (err %v)", cut, r.Err())
+		}
+	}
+}
+
+func TestCapacityBoundedByRemaining(t *testing.T) {
+	r := NewBytesReader(make([]byte, 41))
+	if got := r.Capacity(1<<31-1, 5); got != 8 {
+		t.Errorf("Capacity(2^31-1, 5) over 41 bytes = %d, want 8", got)
+	}
+	if got := r.Capacity(3, 5); got != 3 {
+		t.Errorf("Capacity(3, 5) over 41 bytes = %d, want 3", got)
+	}
+	r.Skip(40)
+	if got := r.Capacity(100, 2); got != 0 {
+		t.Errorf("Capacity(100, 2) over 1 byte = %d, want 0", got)
 	}
 }
 
@@ -64,7 +110,7 @@ func TestSectionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
+	r := NewBytesReader(buf.Bytes())
 	id, body := r.Section()
 	if id != 1 || body.Str() != "first" || body.Err() != nil {
 		t.Fatalf("section 1 wrong: id=%d", id)
@@ -94,7 +140,7 @@ func TestSectionChecksumDetectsFlips(t *testing.T) {
 	for _, off := range []int{len(data) / 2, len(data) - 6} {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
-		r := NewReader(bytes.NewReader(mut))
+		r := NewBytesReader(mut)
 		for {
 			id, _ := r.Section()
 			if id == EndSection {
@@ -117,7 +163,7 @@ func TestSectionTruncation(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for cut := 1; cut < len(data)-1; cut += 3 {
-		r := NewReader(bytes.NewReader(data[:cut]))
+		r := NewBytesReader(data[:cut])
 		id, _ := r.Section()
 		if id != EndSection && r.Err() == nil {
 			// Section decoded fully despite truncation: must be impossible.
@@ -136,7 +182,7 @@ func TestSectionRejectsReservedID(t *testing.T) {
 }
 
 func TestReaderSticksOnFirstError(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
+	r := NewBytesReader(nil)
 	_ = r.Uvarint()
 	first := r.Err()
 	if first == nil {
@@ -155,7 +201,7 @@ func TestBoolRejectsOther(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
+	r := NewBytesReader(buf.Bytes())
 	_ = r.Bool()
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Error("bool 2 accepted")

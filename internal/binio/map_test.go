@@ -174,59 +174,3 @@ func TestOpenMapFile(t *testing.T) {
 		t.Error("Section on closed map succeeded")
 	}
 }
-
-// TestBytesReaderMatchesStreamReader drives the same encoded stream
-// through the io.Reader-backed and slice-backed decoders, including
-// the skip helpers, and demands identical values and error states.
-func TestBytesReaderMatchesStreamReader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Uvarint(77)
-	w.Str("skipped")
-	w.Str("kept")
-	w.Blob([]byte{9, 8, 7})
-	w.Float(2.5)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	stream := NewReader(bytes.NewReader(data))
-	sliced := NewBytesReader(data)
-	for name, r := range map[string]*Reader{"stream": stream, "data": sliced} {
-		if got := r.Uvarint(); got != 77 {
-			t.Errorf("%s: uvarint = %d", name, got)
-		}
-		r.SkipStr()
-		if got := r.Str(); got != "kept" {
-			t.Errorf("%s: str = %q", name, got)
-		}
-		if got := r.Blob(); !bytes.Equal(got, []byte{9, 8, 7}) {
-			t.Errorf("%s: blob = %v", name, got)
-		}
-		if got := r.Float(); got != 2.5 {
-			t.Errorf("%s: float = %v", name, got)
-		}
-		if r.More() {
-			t.Errorf("%s: More() after end", name)
-		}
-		if err := r.Err(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-
-	// Truncation surfaces as the sticky error in both modes.
-	for name, r := range map[string]*Reader{
-		"stream": NewReader(bytes.NewReader(data[:len(data)-3])),
-		"data":   NewBytesReader(data[:len(data)-3]),
-	} {
-		r.Uvarint()
-		r.SkipStr()
-		r.Str()
-		r.Blob()
-		r.Float()
-		if err := r.Err(); err == nil {
-			t.Errorf("%s: truncated stream decoded cleanly", name)
-		}
-	}
-}

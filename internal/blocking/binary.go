@@ -41,7 +41,7 @@ const collectionVersion = 1
 
 // Section IDs of the collection frame.
 //
-//minoaner:sections writer=WriteBinary reader=readCollection
+//minoaner:sections writer=WriteBinary reader=ReadBinaryData
 const (
 	secCollHeader = 1
 	secCollBlocks = 2
@@ -79,21 +79,12 @@ func (c *Collection) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a collection written by WriteBinary,
-// verifying the per-section checksums and that every member ID is in
-// range for the recorded KB sizes.
-func ReadBinary(r io.Reader) (*Collection, error) {
-	return readCollection(binio.NewReader(r))
-}
-
-// ReadBinaryData deserializes a collection from an in-memory image
-// (typically a mapped snapshot section) through the data-mode reader,
-// which slices instead of copying payload bytes.
+// ReadBinaryData deserializes a collection written by WriteBinary from
+// an in-memory image (typically a mapped snapshot section), verifying
+// the per-section checksums and that every member ID is in range for
+// the recorded KB sizes.
 func ReadBinaryData(data []byte) (*Collection, error) {
-	return readCollection(binio.NewBytesReader(data))
-}
-
-func readCollection(dec *binio.Reader) (*Collection, error) {
+	dec := binio.NewBytesReader(data)
 	dec.Magic(collectionMagic)
 	dec.Version(collectionVersion)
 	bodies := dec.Sections()
@@ -120,7 +111,8 @@ func readCollection(dec *binio.Reader) (*Collection, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: missing blocks section", errCorrupt)
 	}
-	c.Blocks = make([]Block, 0, min(nBlocks, 1<<20))
+	// A block is at least its key length and two side counts.
+	c.Blocks = make([]Block, 0, blocks.Capacity(uint64(nBlocks), 3))
 	readSide := func(limit int) []kb.EntityID {
 		n := blocks.Int()
 		if blocks.Err() != nil {
@@ -130,7 +122,7 @@ func readCollection(dec *binio.Reader) (*Collection, error) {
 			blocks.Fail("block side larger than its KB (%d > %d)", n, limit)
 			return nil
 		}
-		out := make([]kb.EntityID, 0, n)
+		out := make([]kb.EntityID, 0, blocks.Capacity(uint64(n), 1))
 		for i := 0; i < n && blocks.Err() == nil; i++ {
 			id := blocks.Uvarint()
 			if id >= uint64(limit) {
@@ -160,7 +152,7 @@ const preparedVersion = 1
 
 // Section IDs of the prepared-substrate frame.
 //
-//minoaner:sections writer=WriteBinary reader=readPreparedFrom
+//minoaner:sections writer=WriteBinary reader=ReadPreparedFrom
 const (
 	secPrepHeader = 1
 	secPrepTokens = 2
@@ -202,20 +194,12 @@ func (p *Prepared) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadPrepared deserializes a substrate written by
-// Prepared.WriteBinary, verifying the per-section checksums and that
-// every member list is ascending and in range for the recorded KB size.
-func ReadPrepared(r io.Reader) (*Prepared, error) {
-	return readPreparedFrom(binio.NewReader(r))
-}
-
-// ReadPreparedData deserializes a prepared substrate from an in-memory
-// image through the data-mode reader.
-func ReadPreparedData(data []byte) (*Prepared, error) {
-	return readPreparedFrom(binio.NewBytesReader(data))
-}
-
-func readPreparedFrom(dec *binio.Reader) (*Prepared, error) {
+// ReadPreparedFrom deserializes a substrate written by
+// Prepared.WriteBinary from dec, verifying the per-section checksums
+// and that every member list is ascending and in range for the
+// recorded KB size. It consumes exactly the substrate's frame, so dec
+// can go on decoding whatever a container format stores after it.
+func ReadPreparedFrom(dec *binio.Reader) (*Prepared, error) {
 	dec.Magic(preparedMagic)
 	dec.Version(preparedVersion)
 	bodies := dec.Sections()
@@ -244,11 +228,12 @@ func readPreparedFrom(dec *binio.Reader) (*Prepared, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: missing %s section", errCorruptPrepared, name)
 		}
-		// Preallocations are capped: the counts come from the (checksummed
-		// but still possibly hostile) header, so a crafted file must fail
-		// with ErrCorrupt when its payload runs out, not pre-commit huge
-		// allocations.
-		m := make(map[string][]kb.EntityID, min(nKeys, 1<<20))
+		// Preallocations are capped by the bytes that remain: the counts
+		// come from the (checksummed but still possibly hostile) header,
+		// so a crafted file must fail with ErrCorrupt when its payload
+		// runs out, not pre-commit huge allocations. A key is at least
+		// its length and member count.
+		m := make(map[string][]kb.EntityID, body.Capacity(uint64(nKeys), 2))
 		for i := 0; i < nKeys && body.Err() == nil; i++ {
 			key := body.Str()
 			n := body.Int()
@@ -259,7 +244,7 @@ func readPreparedFrom(dec *binio.Reader) (*Prepared, error) {
 				body.Fail("posting larger than the KB (%d > %d)", n, p.n1)
 				break
 			}
-			members := make([]kb.EntityID, 0, min(n, 1<<20))
+			members := make([]kb.EntityID, 0, body.Capacity(uint64(n), 1))
 			prev := int64(-1)
 			for j := 0; j < n && body.Err() == nil; j++ {
 				id := body.Uvarint()

@@ -2,7 +2,6 @@ package kb
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"minoaner/internal/binio"
@@ -45,7 +44,7 @@ const (
 
 // Section IDs of the version-2 frame.
 //
-//minoaner:sections writer=WriteBinary reader=readSections
+//minoaner:sections writer=WriteBinary reader=OpenBinary,decodeRest,decodeSources
 const (
 	secHeader   = 1
 	secPreds    = 2
@@ -61,10 +60,7 @@ var errCorrupt = errors.New("kb: corrupt binary KB")
 // checksummed sections). The encoding is deterministic: the same KB
 // always produces the same bytes.
 func (kb *KB) WriteBinary(w io.Writer) error {
-	if err := kb.Materialize(); err != nil {
-		return err
-	}
-	if err := kb.MaterializeSources(); err != nil {
+	if err := kb.MaterializeAll(); err != nil {
 		return err
 	}
 	bw := binio.NewWriter(w)
@@ -171,32 +167,6 @@ func (kb *KB) writeEntities(e *binio.Writer) {
 	}
 }
 
-// ReadBinary deserializes a KB written by WriteBinary. It accepts
-// format versions 1 and 2; version 2 additionally verifies the
-// per-section checksums before decoding.
-func ReadBinary(r io.Reader) (*KB, error) {
-	dec := binio.NewReader(r)
-	dec.Magic(binaryMagic)
-	v := dec.Version(binaryVersionV1, binaryVersion)
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	kb := newEmptyKB()
-	if v == binaryVersionV1 {
-		kb.readHeader(dec)
-		kb.readPreds(dec)
-		kb.readStats(dec)
-		kb.readEntities(dec)
-	} else if err := kb.readSections(dec); err != nil {
-		return nil, err
-	}
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	kb.rebuildDerived()
-	return kb, nil
-}
-
 func newEmptyKB() *KB {
 	return &KB{
 		uriIndex:  make(map[string]EntityID),
@@ -209,61 +179,6 @@ func newEmptyKB() *KB {
 	}
 }
 
-// readSections decodes the version-2 section stream. Sections are
-// checksummed and held in memory by binio, so they can be decoded in
-// dependency order (entities validate against the predicate dictionary)
-// regardless of their order on the wire; unknown IDs are skipped.
-func (kb *KB) readSections(dec *binio.Reader) error {
-	bodies := dec.Sections()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	for _, id := range []uint64{secHeader, secPreds, secStats, secEntities} {
-		body, ok := bodies[id]
-		if !ok {
-			return fmt.Errorf("%w: missing section %d", errCorrupt, id)
-		}
-		switch id {
-		case secHeader:
-			kb.readHeader(body)
-		case secPreds:
-			kb.readPreds(body)
-		case secStats:
-			kb.readStats(body)
-		case secEntities:
-			kb.readEntities(body)
-		}
-		if err := body.Err(); err != nil {
-			return fmt.Errorf("%w: section %d: %v", errCorrupt, id, err)
-		}
-	}
-	if body, ok := bodies[secSources]; ok {
-		kb.readSources(body)
-		if err := body.Err(); err != nil {
-			return fmt.Errorf("%w: sources: %v", errCorrupt, err)
-		}
-	}
-	// Verify the header's section inventory when present (files from
-	// before the inventory end after the triple count).
-	header := bodies[secHeader]
-	if header.More() {
-		n := header.Int()
-		if header.Err() == nil && n > 64 {
-			header.Fail("absurd inventory size %d", n)
-		}
-		for i := 0; i < n && header.Err() == nil; i++ {
-			id := header.Uvarint()
-			if _, ok := bodies[id]; !ok && header.Err() == nil {
-				header.Fail("inventoried section %d missing", id)
-			}
-		}
-		if err := header.Err(); err != nil {
-			return fmt.Errorf("%w: header inventory: %v", errCorrupt, err)
-		}
-	}
-	return nil
-}
-
 func (kb *KB) readSources(dec *binio.Reader) {
 	src := &Sources{}
 	src.opts.MinLength = dec.Int()
@@ -273,7 +188,7 @@ func (kb *KB) readSources(dec *binio.Reader) {
 		return
 	}
 	if nStop > 0 {
-		src.opts.Stopwords = make(map[string]struct{}, nStop)
+		src.opts.Stopwords = make(map[string]struct{}, dec.Capacity(nStop, 1))
 	}
 	for i := uint64(0); i < nStop && dec.Err() == nil; i++ {
 		src.opts.Stopwords[dec.Str()] = struct{}{}
@@ -283,7 +198,8 @@ func (kb *KB) readSources(dec *binio.Reader) {
 		dec.Fail("absurd term count %d", nTerms)
 		return
 	}
-	src.terms = make([]rdf.Term, 0, min64(nTerms, 1<<20))
+	// A term is at least its kind and three string lengths.
+	src.terms = make([]rdf.Term, 0, dec.Capacity(nTerms, 4))
 	for i := uint64(0); i < nTerms && dec.Err() == nil; i++ {
 		var t rdf.Term
 		t.Kind = rdf.TermKind(dec.Uvarint())
@@ -297,7 +213,7 @@ func (kb *KB) readSources(dec *binio.Reader) {
 		dec.Fail("absurd ref count %d", nRefs)
 		return
 	}
-	src.refs = make([]tripleRef, 0, min64(nRefs, 1<<20))
+	src.refs = make([]tripleRef, 0, dec.Capacity(nRefs, 3))
 	for i := uint64(0); i < nRefs && dec.Err() == nil; i++ {
 		var r tripleRef
 		r.s = int32(dec.Uvarint())
@@ -354,51 +270,6 @@ func (kb *KB) readStats(dec *binio.Reader) {
 	readSide(kb.relStats)
 }
 
-func (kb *KB) readEntities(dec *binio.Reader) {
-	nEnt := dec.Uvarint()
-	if dec.Err() == nil && nEnt > 1<<31 {
-		dec.Fail("absurd entity count %d", nEnt)
-		return
-	}
-	kb.entities = make([]Entity, 0, min64(nEnt, 1<<20))
-	for i := uint64(0); i < nEnt && dec.Err() == nil; i++ {
-		var e Entity
-		e.URI = dec.Str()
-		nAttrs := dec.Uvarint()
-		for a := uint64(0); a < nAttrs && dec.Err() == nil; a++ {
-			pred := int32(dec.Uvarint())
-			val := dec.Str()
-			if pred < 0 || int(pred) >= len(kb.preds) {
-				dec.Fail("attribute predicate out of range")
-				break
-			}
-			e.Attrs = append(e.Attrs, AttrValue{Pred: pred, Value: val})
-		}
-		nOut := dec.Uvarint()
-		for o := uint64(0); o < nOut && dec.Err() == nil; o++ {
-			pred := int32(dec.Uvarint())
-			tgt := EntityID(dec.Uvarint())
-			if pred < 0 || int(pred) >= len(kb.preds) || uint64(tgt) >= nEnt {
-				dec.Fail("edge out of range")
-				break
-			}
-			e.Out = append(e.Out, Edge{Pred: pred, Target: tgt})
-		}
-		nTypes := dec.Uvarint()
-		for x := uint64(0); x < nTypes && dec.Err() == nil; x++ {
-			typ := dec.Str()
-			e.Types = append(e.Types, typ)
-			kb.typeSet[typ] = struct{}{}
-		}
-		nTokens := dec.Uvarint()
-		for x := uint64(0); x < nTokens && dec.Err() == nil; x++ {
-			e.Tokens = append(e.Tokens, dec.Str())
-		}
-		kb.uriIndex[e.URI] = EntityID(len(kb.entities))
-		kb.entities = append(kb.entities, e)
-	}
-}
-
 // rebuildDerived reconstructs in-edges, token EF counts, and the vocab
 // contribution of rdf:type from the decoded sections.
 func (kb *KB) rebuildDerived() {
@@ -415,11 +286,4 @@ func (kb *KB) rebuildDerived() {
 			kb.ef[tok]++
 		}
 	}
-}
-
-func min64(a uint64, b int) int {
-	if a < uint64(b) {
-		return int(a)
-	}
-	return b
 }

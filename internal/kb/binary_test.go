@@ -10,13 +10,28 @@ import (
 	"minoaner/internal/rdf"
 )
 
+// readBinary is the full decode: open, then materialize every tier.
+// Nothing else holds the KB, so it also drops the spent lazy state,
+// leaving a value that compares equal to the KB that was written.
+func readBinary(data []byte) (*KB, error) {
+	kb, err := OpenBinary(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := kb.MaterializeAll(); err != nil {
+		return nil, err
+	}
+	kb.lazy = nil
+	return kb, nil
+}
+
 func roundTrip(t *testing.T, kb *KB) *KB {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := kb.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := readBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +135,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadBinary(bytes.NewReader(tc.doc)); err == nil {
+			if _, err := readBinary(tc.doc); err == nil {
 				t.Error("corrupt input accepted")
 			}
 		})
@@ -135,7 +150,7 @@ func TestBinaryRejectsWrongVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[4] = 99 // version byte (uvarint, single byte for small values)
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+	if _, err := readBinary(data); err == nil {
 		t.Error("wrong version accepted")
 	}
 }
@@ -153,7 +168,7 @@ func TestBinaryChecksumDetectsBitFlips(t *testing.T) {
 	for off := 0; off < len(data); off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x08
-		if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+		if _, err := readBinary(mut); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
@@ -176,7 +191,7 @@ func TestBinaryReadsVersion1(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := readBinary(buf.Bytes())
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}

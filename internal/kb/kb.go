@@ -83,7 +83,7 @@ type KB struct {
 	src *Sources
 
 	// lazy is the undecoded remainder of a mapped image (see
-	// OpenBinary). Nil for built or eagerly loaded KBs. It stays set
+	// OpenBinary). Nil for built KBs and version-1 images. It stays set
 	// after materialization — the sync.Once inside is what records
 	// that the decode already happened.
 	lazy *kbLazy

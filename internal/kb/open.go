@@ -1,30 +1,33 @@
 package kb
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"minoaner/internal/binio"
 )
 
-// Lazy (mapped) decoding of the binary KB format. OpenBinary splits the
-// version-2 image into two tiers:
+// Decoding of the binary KB format. OpenBinary is the one decoder; it
+// splits a version-2 image into two tiers:
 //
 //   - URI tier, decoded at open: entity count, URIs, and the URI index —
 //     everything the infallible, lock-free read path (Len, Lookup, URI,
 //     Name, NumTriples) touches. The scan validates the entities
 //     section's structure; its checksum is deferred (hashing it would
-//     cost as much as the eager load the open replaces).
+//     touch every byte of the bulk the open skips).
 //   - Full tier, decoded on first demand: predicates, statistics,
 //     per-entity attributes/edges/types/tokens, and derived structures.
 //     Section checksums — including the entities section's — verify on
 //     that first access, so every fallible operation sees verified data.
 //
 // Retained sources decode separately (they are only needed to mutate),
-// also once, on first demand. All decoded values copy out of the
-// backing slice (strings are built, not aliased), so once Materialize
-// succeeds the KB no longer references the mapping.
+// also once, on first demand. A full decode is OpenBinary followed by
+// MaterializeAll. Version-1 images (no sections, no checksums) decode
+// in full at open, through the same URI scan and full-tier fill over
+// the entity bytes. All decoded values copy out of the backing slice
+// (strings are built, not aliased), so once MaterializeAll succeeds the
+// KB no longer references the mapping.
 //
 // Filling the full tier writes only fields and maps the URI tier never
 // reads (Entity.Attrs/Out/Types/Tokens are distinct memory locations
@@ -33,7 +36,10 @@ import (
 
 // kbLazy is the undecoded remainder of a mapped KB image.
 type kbLazy struct {
-	m      *binio.Map // nested section directory over the MKB1 image
+	// m is the nested section directory over the MKB1 image. MaterializeAll
+	// clears it once both tiers have decoded, so a fully decoded KB does
+	// not keep the image reachable.
+	m      atomic.Pointer[binio.Map]
 	hasSrc bool
 
 	once sync.Once // full tier
@@ -45,8 +51,8 @@ type kbLazy struct {
 
 // LazyCapable reports whether a binary KB image is in the sectioned
 // (version 2) format that supports lazy decoding. Version-1 images are
-// unsectioned streams without per-section checksums and must be decoded
-// eagerly.
+// unsectioned streams without per-section checksums and decode in full
+// at open.
 func LazyCapable(data []byte) bool {
 	dec := binio.NewBytesReader(data)
 	dec.Magic(binaryMagic)
@@ -56,12 +62,12 @@ func LazyCapable(data []byte) bool {
 
 // OpenBinary decodes a binary KB image lazily: the URI tier (entity
 // URIs and index) is built now, everything else on first demand via the
-// full-tier accessors or Materialize. The image must stay valid until
-// Materialize has succeeded (or the KB is dropped); version-1 images
-// fall back to an eager ReadBinary.
+// full-tier accessors, Materialize or MaterializeAll. The image must
+// stay valid until MaterializeAll has succeeded (or the KB is dropped);
+// version-1 images decode in full here.
 func OpenBinary(data []byte) (*KB, error) {
 	if !LazyCapable(data) {
-		return ReadBinary(bytes.NewReader(data))
+		return readVersion1(data)
 	}
 	m, err := binio.BytesMap(data, binaryMagic, binaryVersion)
 	if err != nil {
@@ -97,12 +103,40 @@ func OpenBinary(data []byte) (*KB, error) {
 	if err := ents.Err(); err != nil {
 		return nil, fmt.Errorf("%w: entities: %v", errCorrupt, err)
 	}
-	kb.lazy = &kbLazy{m: m, hasSrc: m.Has(secSources)}
+	kb.lazy = &kbLazy{hasSrc: m.Has(secSources)}
+	kb.lazy.m.Store(m)
+	return kb, nil
+}
+
+// readVersion1 decodes an unsectioned version-1 image in full. Its
+// entities are the stream's tail; the URI scan and the full-tier fill
+// walk those same bytes, exactly as a lazy open and Materialize do.
+func readVersion1(data []byte) (*KB, error) {
+	dec := binio.NewBytesReader(data)
+	dec.Magic(binaryMagic)
+	dec.Version(binaryVersionV1)
+	kb := newEmptyKB()
+	kb.readHeader(dec)
+	kb.readPreds(dec)
+	kb.readStats(dec)
+	if err := dec.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+	}
+	ents := data[len(data)-dec.Remaining():]
+	for _, walk := range []func(*binio.Reader){kb.scanURIs, kb.fillEntities} {
+		dec := binio.NewBytesReader(ents)
+		walk(dec)
+		if err := dec.Err(); err != nil {
+			return nil, fmt.Errorf("%w: entities: %v", errCorrupt, err)
+		}
+	}
+	kb.rebuildDerived()
 	return kb, nil
 }
 
 // verifyInventory checks the header's trailing section inventory (when
-// present) against the mapped directory, mirroring readSections.
+// present) against the mapped directory: an inventoried section that
+// is missing means a corrupted section ID.
 func verifyInventory(hdr *binio.Reader, m *binio.Map) error {
 	if !hdr.More() {
 		return hdr.Err()
@@ -133,7 +167,8 @@ func (kb *KB) scanURIs(dec *binio.Reader) {
 		dec.Fail("absurd entity count %d", nEnt)
 		return
 	}
-	kb.entities = make([]Entity, 0, min64(nEnt, 1<<20))
+	// An entity is at least its URI length and four list counts.
+	kb.entities = make([]Entity, 0, dec.Capacity(nEnt, 5))
 	for i := uint64(0); i < nEnt && dec.Err() == nil; i++ {
 		var e Entity
 		e.URI = dec.Str()
@@ -162,7 +197,7 @@ func (kb *KB) scanURIs(dec *binio.Reader) {
 
 // materialize decodes the full tier once (idempotent, concurrency-safe)
 // and returns its verdict. It is the guard the full-tier accessors call;
-// on a fully decoded or eagerly loaded KB it is a nil check.
+// on a built or version-1 KB it is a nil check.
 func (kb *KB) materialize() error {
 	l := kb.lazy
 	if l == nil {
@@ -183,14 +218,26 @@ func (kb *KB) materializeSrc() error {
 }
 
 // Materialize forces the full tier — everything except retained
-// sources, which only mutation needs (see MaterializeSources).
+// sources, which only mutation needs (see MaterializeAll).
 func (kb *KB) Materialize() error { return kb.materialize() }
 
-// MaterializeSources forces the retained-sources tier (a no-op when
-// the KB has none). After both Materialize and MaterializeSources
-// return nil the KB references nothing in the backing image, so the
-// mapping may be released.
-func (kb *KB) MaterializeSources() error { return kb.materializeSrc() }
+// MaterializeAll forces both tiers — the full tier and the retained
+// sources, when the KB has them. Once it returns nil the KB references
+// nothing in the backing image, so the image may be unmapped or
+// collected.
+func (kb *KB) MaterializeAll() error {
+	if err := kb.materialize(); err != nil {
+		return err
+	}
+	if err := kb.materializeSrc(); err != nil {
+		return err
+	}
+	if kb.lazy != nil {
+		// Both onces have run, so nothing reads m again.
+		kb.lazy.m.Store(nil)
+	}
+	return nil
+}
 
 // BinaryInfo is InspectBinary's summary of a binary KB image.
 type BinaryInfo struct {
@@ -203,11 +250,11 @@ type BinaryInfo struct {
 // InspectBinary summarizes a binary KB image without decoding its
 // bulk: for sectioned (version 2) images it reads the checksummed
 // header plus the entity count, O(header) work however large the KB.
-// Version-1 images decode eagerly — they have no section directory to
+// Version-1 images decode in full — they have no section directory to
 // consult.
 func InspectBinary(data []byte) (BinaryInfo, error) {
 	if !LazyCapable(data) {
-		k, err := ReadBinary(bytes.NewReader(data))
+		k, err := readVersion1(data)
 		if err != nil {
 			return BinaryInfo{}, err
 		}
@@ -241,7 +288,7 @@ func InspectBinary(data []byte) (BinaryInfo, error) {
 }
 
 func (kb *KB) decodeRest() error {
-	m := kb.lazy.m
+	m := kb.lazy.m.Load()
 	for _, id := range []uint64{secPreds, secStats} {
 		body, err := m.Reader(id)
 		if err != nil {
@@ -270,7 +317,7 @@ func (kb *KB) decodeRest() error {
 }
 
 func (kb *KB) decodeSources() error {
-	body, err := kb.lazy.m.Reader(secSources)
+	body, err := kb.lazy.m.Load().Reader(secSources)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errCorrupt, err)
 	}
@@ -284,7 +331,7 @@ func (kb *KB) decodeSources() error {
 // fillEntities is the full-tier counterpart of scanURIs: it re-walks
 // the (already checksum-verified) entities section, skipping the URIs
 // decoded at open and filling attributes, edges, types, and tokens in
-// place, with the same validation as the eager readEntities.
+// place, validating predicates and edge targets.
 func (kb *KB) fillEntities(dec *binio.Reader) {
 	nEnt := dec.Uvarint()
 	if dec.Err() == nil && int(nEnt) != len(kb.entities) {

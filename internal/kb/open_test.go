@@ -2,8 +2,10 @@ package kb
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"minoaner/internal/binio"
@@ -87,8 +89,11 @@ func TestOpenBinaryLazyEquivalence(t *testing.T) {
 	if err := opened.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := opened.MaterializeSources(); err != nil {
+	if err := opened.MaterializeAll(); err != nil {
 		t.Fatal(err)
+	}
+	if opened.lazy.m.Load() != nil {
+		t.Error("MaterializeAll left the image reachable")
 	}
 	mustEqualDecoded(t, opened, want)
 	if !opened.HasSources() {
@@ -132,6 +137,47 @@ func TestOpenBinaryVersion1Fallback(t *testing.T) {
 	}
 }
 
+// TestOpenBinaryForgedEntityCount: an image whose entities section
+// declares 2^31-1 entities and then ends — the 41-byte sectioned image,
+// checksums intact, and its version-1 twin — must fail typed without
+// first allocating room for the entities it promised.
+func TestOpenBinaryForgedEntityCount(t *testing.T) {
+	var v2, v1 bytes.Buffer
+	w := binio.NewWriter(&v2)
+	w.Raw(binaryMagic[:])
+	w.Uvarint(binaryVersion)
+	w.Section(secHeader, func(e *binio.Writer) { e.Str("x"); e.Int(0) })
+	w.Section(secPreds, func(e *binio.Writer) { e.Int(0) })
+	w.Section(secStats, func(e *binio.Writer) { e.Int(0); e.Int(0) })
+	w.Section(secEntities, func(e *binio.Writer) { e.Int(1<<31 - 1) })
+	w.End()
+	w1 := binio.NewWriter(&v1)
+	w1.Raw(binaryMagic[:])
+	w1.Uvarint(binaryVersionV1)
+	w1.Str("x")
+	for _, n := range []int{0, 0, 0, 0, 1<<31 - 1} { // triples, preds, stats, entities
+		w1.Int(n)
+	}
+	if err := errors.Join(w.Flush(), w1.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	if v2.Len() != 41 {
+		t.Fatalf("forged image is %d bytes, want 41", v2.Len())
+	}
+	for name, data := range map[string][]byte{"v2": v2.Bytes(), "v1": v1.Bytes()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenBinary(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: error = %v, want errCorrupt", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing, want < 1 MiB", name, alloc)
+		}
+	}
+}
+
 // TestOpenBinaryCorruptionSweep flips one bit at a stride of offsets
 // across the image. Each mutation must either be rejected at open, be
 // rejected by the first materialization that reaches the damaged
@@ -154,7 +200,7 @@ func TestOpenBinaryCorruptionSweep(t *testing.T) {
 		if err := kb.Materialize(); err != nil {
 			continue
 		}
-		if err := kb.MaterializeSources(); err != nil {
+		if err := kb.MaterializeAll(); err != nil {
 			continue
 		}
 		var buf bytes.Buffer
@@ -171,7 +217,7 @@ func TestOpenBinaryCorruptionSweep(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if kb.Materialize() == nil && kb.MaterializeSources() == nil {
+		if kb.MaterializeAll() == nil {
 			t.Errorf("truncation at %d decoded cleanly", cut)
 		}
 	}

@@ -139,10 +139,7 @@ var ErrNoSources = errors.New("kb: KB was built without source retention and can
 
 // NewStore wraps a KB's retained sources into a mutable triple set.
 func NewStore(k *KB) (*Store, error) {
-	if err := k.Materialize(); err != nil {
-		return nil, err
-	}
-	if err := k.MaterializeSources(); err != nil {
+	if err := k.MaterializeAll(); err != nil {
 		return nil, err
 	}
 	if k.src == nil {
@@ -369,9 +366,12 @@ func (s *Store) Assemble(prev *KB) *KB {
 }
 
 // Compact rebuilds the term table from the live triples, dropping
-// terms that deletions have orphaned. Previously assembled KBs are
+// terms that deletions have orphaned, and returns a copy of the last
+// assembled KB that carries the compacted sources. Publishing that copy
+// keeps a snapshot taken now in step with the store: a store derived
+// from the snapshot's KB equals this one. Previously assembled KBs are
 // unaffected (they hold their own source snapshots).
-func (s *Store) Compact() {
+func (s *Store) Compact() *KB {
 	terms := make([]rdf.Term, 0, len(s.terms))
 	idx := make(map[rdf.Term]int32, len(s.terms))
 	remap := make([]int32, len(s.terms))
@@ -406,6 +406,14 @@ func (s *Store) Compact() {
 		}
 	}
 	s.terms, s.termIndex, s.refs, s.refsPOS, s.predUse = terms, idx, refs, refsPOS, predUse
+
+	// NewStore materialized the KB it started from and every later one
+	// was assembled, so the copy needs no lazy state.
+	k := *s.lastAssembled
+	k.lazy = nil
+	k.src = &Sources{opts: s.opts, terms: s.terms[:len(s.terms):len(s.terms)], refs: s.refs}
+	s.lastAssembled = &k
+	return &k
 }
 
 // sameRefs reports whether two sorted ref slices hold the same

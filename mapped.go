@@ -3,6 +3,7 @@ package minoaner
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"minoaner/internal/binio"
@@ -11,10 +12,11 @@ import (
 	"minoaner/internal/pipeline"
 )
 
-// Mapped (lazily decoded) snapshots. OpenIndexFile maps the snapshot
-// and decodes only what the lock-free read path needs up front:
+// The snapshot decoder. There is exactly one: openIndexMap over a
+// section directory (a file mapping or an in-memory image). It decodes
+// only what the lock-free read path needs up front:
 //
-//   - eagerly: the section directory, config (and its inventory), the
+//   - at open: the section directory, config (and its inventory), the
 //     KBs' URI tiers, stats, the match lists, the journal, and the
 //     sharding record's owner-count verification — everything
 //     Query/Matches/Stats-counters touch.
@@ -24,6 +26,11 @@ import (
 //     section surfaces as an ErrSnapshotCorrupt-wrapped error from the
 //     fallible entry points (QueryKB, SaveIndex, mutations, Close),
 //     never a crash.
+//
+// OpenIndex and OpenIndexFile stop there. LoadIndex and LoadIndexFile
+// are the full decode: the same open, then a checksum pass over every
+// section (unknown IDs included, which a lazy open never touches),
+// then Close, which materializes every tier and releases the image.
 //
 // Every decoded structure copies out of the mapping (strings are
 // built, not aliased). The write side (mutations, Prepare, Reshard,
@@ -55,12 +62,11 @@ type lazyParts struct {
 	prepErr  error
 }
 
-// OpenIndexFile maps a snapshot file and decodes it lazily — the
-// near-zero-cold-start counterpart of LoadIndexFile. The returned
-// index answers Query immediately; heavier structures decode on first
-// demand (see Index.Close for releasing the mapping). Both entry
-// points accept exactly the same snapshots and answer queries
-// bit-identically.
+// OpenIndexFile maps a snapshot file and decodes it lazily. The
+// returned index answers Query immediately; heavier structures decode,
+// and their checksums verify, on first demand (see Index.Close for
+// releasing the mapping). LoadIndexFile is this open plus a full
+// decode; both answer queries bit-identically.
 func OpenIndexFile(path string) (*Index, error) {
 	m, err := binio.OpenMap(path, snapshotMagic, snapshotVersion)
 	if err != nil {
@@ -87,9 +93,58 @@ func OpenIndex(data []byte) (*Index, error) {
 	return openIndexMap(m)
 }
 
-// openIndexMap builds the eager tier of a mapped index from the
-// section directory, mirroring LoadIndex's validation for everything
-// it decodes now and deferring the rest to the lazy accessors.
+// LoadIndex reads an index snapshot written by SaveIndex and decodes it
+// in full: OpenIndex over the bytes, a checksum pass over every
+// section, and a full materialization (see Index.Close). Besides the
+// checksums it verifies the referential integrity of the match lists
+// and substrates against the embedded KBs. The returned index holds no
+// reference to the bytes read; Mapped reports false.
+func LoadIndex(r io.Reader) (*Index, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("minoaner: reading snapshot: %w", err)
+	}
+	ix, err := OpenIndex(data)
+	if err != nil {
+		return nil, err
+	}
+	return loadAll(ix)
+}
+
+// LoadIndexFile is LoadIndex over a file: OpenIndexFile, the checksum
+// pass over every section, and a full materialization that releases
+// the mapping.
+func LoadIndexFile(path string) (*Index, error) {
+	ix, err := OpenIndexFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return loadAll(ix)
+}
+
+// loadAll turns a freshly opened index into a fully decoded one. It
+// verifies every section checksum first — the lazy tiers check only
+// the sections they decode, and never the unknown ones — so damage
+// fails before any bulk decodes, then materializes every tier and
+// releases the mapping. On failure the mapping is released too.
+func loadAll(ix *Index) (*Index, error) {
+	m := ix.mapped
+	for _, id := range m.SectionIDs() {
+		if _, err := m.Section(id); err != nil {
+			m.Close()
+			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		}
+	}
+	if err := ix.Close(); err != nil {
+		m.Close()
+		return nil, err
+	}
+	return ix, nil
+}
+
+// openIndexMap builds the open-time tier of an index from the section
+// directory, validating everything it decodes now and deferring the
+// rest to the lazy accessors.
 func openIndexMap(m *binio.Map) (*Index, error) {
 	e := &epoch{shards: 1}
 	ix := &Index{}
@@ -129,8 +184,8 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 		}
 		if !kb.LazyCapable(raw) {
 			// A pre-sectioned (v1) KB image carries no inner checksums
-			// and decodes eagerly; verify the snapshot section's own
-			// checksum first, like LoadIndex does.
+			// and decodes in full at open; verify the snapshot section's
+			// own checksum first.
 			raw, err = m.Section(id)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
@@ -197,8 +252,7 @@ func openIndexMap(m *binio.Map) (*Index, error) {
 	e.lazy = &lazyParts{m: m, hasPrepared: m.Has(snapPrepared)}
 	if m.Has(snapSharding) {
 		// The owner-count verification needs only KB1's URI tier, so it
-		// runs now: a mispartitioned snapshot fails at open, exactly
-		// like the eager path.
+		// runs now: a mispartitioned snapshot fails at open.
 		sb, err := m.Reader(snapSharding)
 		if err != nil {
 			return nil, fmt.Errorf("%w: sharding: %v", ErrSnapshotCorrupt, err)
@@ -220,7 +274,7 @@ func (e *epoch) hasPrepared() bool {
 }
 
 // materializeKB1 forces KB1's full tier — what every delta-resolution
-// path scores against. A nil check on eager indexes.
+// path scores against. A nil check on built or loaded indexes.
 func (e *epoch) materializeKB1() error {
 	if err := e.kb1.kb.Materialize(); err != nil {
 		return fmt.Errorf("%w: kb1: %v", ErrSnapshotCorrupt, err)
@@ -282,8 +336,7 @@ func (e *epoch) preparedSide() (*pipeline.Prepared, *pipeline.ShardedPrepared, e
 // decodePrepared restores the prepared section from the mapping. The
 // neighbor lists after the embedded substrate have no checksums of
 // their own, so the section's outer checksum is verified here (on this
-// first access), then decodePreparedBody revalidates exactly as the
-// eager load does.
+// first access) before decodePreparedBody validates the payload.
 func (e *epoch) decodePrepared() (*pipeline.Prepared, error) {
 	payload, err := e.lazy.m.Section(snapPrepared)
 	if err != nil {
@@ -308,10 +361,7 @@ func (ix *Index) materializeLocked() error {
 		name string
 		k    *KB
 	}{{"kb1", e.kb1}, {"kb2", e.kb2}} {
-		if err := side.k.kb.Materialize(); err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, side.name, err)
-		}
-		if err := side.k.kb.MaterializeSources(); err != nil {
+		if err := side.k.kb.MaterializeAll(); err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, side.name, err)
 		}
 	}
@@ -344,7 +394,7 @@ func (ix *Index) Mapped() bool {
 // by in-flight readers never touch the mapping afterwards — then
 // unmaps. On a decode failure the mapping stays open and the error is
 // returned; the index keeps working either way. Close is idempotent
-// and a no-op for eagerly loaded or built indexes.
+// and a no-op for loaded or built indexes.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -187,9 +187,17 @@ func LoadKBLenient(name string, r io.Reader) (*KB, int, error) {
 // rejects corrupt or incompatible data.
 func (k *KB) WriteBinary(w io.Writer) error { return k.kb.WriteBinary(w) }
 
-// ReadKBBinary loads a KB written by WriteBinary.
+// ReadKBBinary loads a KB written by WriteBinary, decoding it in full
+// and verifying every section checksum it reads.
 func ReadKBBinary(r io.Reader) (*KB, error) {
-	built, err := kb.ReadBinary(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("minoaner: reading binary KB: %w", err)
+	}
+	built, err := kb.OpenBinary(data)
+	if err == nil {
+		err = built.MaterializeAll()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -385,6 +385,42 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	}
 }
 
+// TestCompactedSnapshotReplaysIdentically: Compact drops the term-table
+// entries deletions orphaned. A snapshot taken right after it — what a
+// replica resyncs from — must reload into the state the primary holds,
+// so the next mutation leaves both bit-identical.
+func TestCompactedSnapshotReplaysIdentically(t *testing.T) {
+	load := func(name, nt string) *minoaner.KB {
+		k, err := minoaner.LoadKB(name, strings.NewReader(nt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	primary, err := minoaner.BuildIndex(
+		load("kb1", "<http://a/1> <http://a/name> \"alpha beta\" .\n<http://a/2> <http://a/name> \"gamma delta\" .\n"),
+		load("kb2", "<http://b/1> <http://b/label> \"alpha beta\" .\n"),
+		minoaner.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := primary.Delete(ctx, 1, "http://a/2"); err != nil {
+		t.Fatal(err)
+	}
+	primary.Compact()
+	replica, err := minoaner.LoadIndex(bytes.NewReader(snapshotBytes(t, primary)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*minoaner.Index{primary, replica} {
+		if err := ix.Upsert(ctx, 1, load("delta", "<http://a/3> <http://a/name> \"eta theta\" .\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertConverged(t, "after compact, reload and upsert", primary, replica)
+}
+
 // TestReplicaStormWithCompactResync is the ISSUE's mutation storm:
 // random upserts and deletes on the primary while a replica tails it,
 // with a mid-storm Compact forcing the replica through the

@@ -73,10 +73,18 @@ import (
 // it names (currently 1), skips unknown section IDs within them, and
 // rejects everything else — including any payload whose checksum does
 // not match — with an error wrapping ErrSnapshotCorrupt. Saving a
-// loaded index reproduces the snapshot bit-for-bit, journal included.
-// The prepared and journal sections are optional in both directions:
-// snapshots from before they existed load fine, and older readers skip
-// them unharmed.
+// loaded or opened index reproduces the snapshot bit-for-bit, journal
+// included. The prepared and journal sections are optional in both
+// directions: snapshots from before they existed load fine, and older
+// readers skip them unharmed.
+//
+// There is one decoder, openIndexMap in mapped.go. OpenIndex and
+// OpenIndexFile run it over the section directory and decode the bulk
+// on first demand, verifying each section's checksum on its first
+// access. LoadIndex and LoadIndexFile are the same open followed by a
+// checksum pass over every section (unknown ones included) and a full
+// materialization; the index they return holds no reference to the
+// image. This file holds the writer and the section codecs both share.
 
 var snapshotMagic = [4]byte{'M', 'S', 'N', 'P'}
 
@@ -84,7 +92,7 @@ const snapshotVersion = 1
 
 // Section IDs of the snapshot frame.
 //
-//minoaner:sections writer=SaveIndex reader=LoadIndex
+//minoaner:sections writer=SaveIndex reader=openIndexMap,blocks,decodePrepared
 const (
 	snapConfig      = 1
 	snapKB1         = 2
@@ -98,8 +106,9 @@ const (
 	snapSharding    = 10
 )
 
-// ErrSnapshotCorrupt is wrapped by every LoadIndex failure caused by
-// damaged or incompatible data.
+// ErrSnapshotCorrupt is wrapped by every snapshot decode failure caused
+// by damaged or incompatible data: from LoadIndex and OpenIndex, and
+// from the first access to a damaged lazily decoded section.
 var ErrSnapshotCorrupt = errors.New("minoaner: corrupt index snapshot")
 
 // SaveIndex writes the index snapshot. The encoding is deterministic:
@@ -209,22 +218,26 @@ func shardOwnerCounts(e *epoch) []int {
 	return counts
 }
 
-// readShardingSection restores the shard count, re-derives the
-// partitioned substrate, and verifies the recorded owner counts.
+// readShardingSection restores the shard count and verifies the
+// recorded owner counts against the partition re-derived from KB1's
+// URIs.
 func readShardingSection(b *binio.Reader, ix *Index) error {
 	k := b.Int()
 	if b.Err() == nil && (k < 1 || k > 1<<16) {
 		b.Fail("shard count %d out of range", k)
 	}
-	counts := make([]int, 0, min(k, 1<<16))
+	counts := make([]int, 0, b.Capacity(uint64(k), 1))
 	for i := 0; i < k && b.Err() == nil; i++ {
 		counts = append(counts, b.Int())
 	}
 	if err := b.Err(); err != nil {
 		return fmt.Errorf("%w: sharding: %v", ErrSnapshotCorrupt, err)
 	}
-	ix.setShards(k)
-	got := shardOwnerCounts(ix.cur.Load())
+	// Open time, before the index is shared: the partitioned substrate
+	// derives when the prepared side decodes.
+	e := ix.cur.Load()
+	e.shards = normalizeShards(k)
+	got := shardOwnerCounts(e)
 	for s, c := range counts {
 		if got[s] != c {
 			return fmt.Errorf("%w: sharding: shard %d owns %d entities, snapshot recorded %d",
@@ -245,20 +258,8 @@ func writeNeighborLists(e *binio.Writer, top [][]kb.EntityID) {
 	}
 }
 
-// readPreparedSection restores the prepared substrate of a snapshot,
-// validating it against the already-loaded KB1 and config.
-func readPreparedSection(b *binio.Reader, ix *Index) error {
-	e := ix.cur.Load()
-	prep, err := decodePreparedBody(b, e.kb1, e.cfg)
-	if err != nil {
-		return err
-	}
-	ix.setPreparedSide(prep)
-	return nil
-}
-
-// decodePreparedBody decodes the prepared section's payload — shared
-// by the eager load and the mapped index's first-demand decode.
+// decodePreparedBody decodes the prepared section's payload, validating
+// it against the already-open KB1 and config.
 func decodePreparedBody(b *binio.Reader, kb1 *KB, cfg Config) (*pipeline.Prepared, error) {
 	n := b.Int()
 	if err := b.Err(); err != nil {
@@ -268,7 +269,9 @@ func decodePreparedBody(b *binio.Reader, kb1 *KB, cfg Config) (*pipeline.Prepare
 		return nil, fmt.Errorf("%w: prepared substrate frozen for N=%d, config has N=%d",
 			ErrSnapshotCorrupt, n, cfg.N)
 	}
-	bp, err := blocking.ReadPrepared(b.Embedded())
+	// The embedded substrate advances b, so the neighbor lists after it
+	// decode from where its frame ends.
+	bp, err := blocking.ReadPreparedFrom(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: prepared: %v", ErrSnapshotCorrupt, err)
 	}
@@ -284,14 +287,14 @@ func decodePreparedBody(b *binio.Reader, kb1 *KB, cfg Config) (*pipeline.Prepare
 	if b.Err() == nil && nEnt != kb1.Len() {
 		b.Fail("neighbor lists cover %d entities, KB1 has %d", nEnt, kb1.Len())
 	}
-	top := make([][]kb.EntityID, 0, min(nEnt, 1<<20))
+	top := make([][]kb.EntityID, 0, b.Capacity(uint64(nEnt), 1))
 	for i := 0; i < nEnt && b.Err() == nil; i++ {
 		cnt := b.Int()
 		if cnt > kb1.Len() {
 			b.Fail("neighbor list larger than the KB (%d > %d)", cnt, kb1.Len())
 			break
 		}
-		nbrs := make([]kb.EntityID, 0, cnt)
+		nbrs := make([]kb.EntityID, 0, b.Capacity(uint64(cnt), 1))
 		prev := int64(-1)
 		for j := 0; j < cnt && b.Err() == nil; j++ {
 			id := b.Uvarint()
@@ -361,7 +364,9 @@ func readJournalSection(b *binio.Reader, ix *Index) error {
 	if b.Err() == nil && uint64(n) > seq {
 		b.Fail("journal of %d entries cannot cover epochs up to %d", n, seq)
 	}
-	entries := make([]JournalEntry, 0, min(n, 1<<16))
+	// An entry is at least its epoch, op, side, subject count and
+	// triple count.
+	entries := make([]JournalEntry, 0, b.Capacity(uint64(n), 5))
 	base := seq - uint64(n)
 	for i := 0; i < n && b.Err() == nil; i++ {
 		var je JournalEntry
@@ -429,148 +434,6 @@ func readJournalSection(b *binio.Reader, ix *Index) error {
 	return nil
 }
 
-// LoadIndex reads an index snapshot written by SaveIndex, verifying
-// every section checksum and the referential integrity of the match
-// lists against the embedded KBs.
-func LoadIndex(r io.Reader) (*Index, error) {
-	dec := binio.NewReader(r)
-	dec.Magic(snapshotMagic)
-	dec.Version(snapshotVersion)
-	bodies := dec.Sections()
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	body := func(id uint64, name string) (*binio.Reader, error) {
-		b, ok := bodies[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing %s section", ErrSnapshotCorrupt, name)
-		}
-		return b, nil
-	}
-
-	e := &epoch{shards: 1}
-	ix := &Index{}
-	ix.cur.Store(e)
-
-	b, err := body(snapConfig, "config")
-	if err != nil {
-		return nil, err
-	}
-	e.cfg = readConfig(b)
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: config: %v", ErrSnapshotCorrupt, err)
-	}
-
-	readKB := func(id uint64, name string) (*KB, error) {
-		b, err := body(id, name)
-		if err != nil {
-			return nil, err
-		}
-		built, err := kb.ReadBinary(b.Embedded())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-		}
-		return &KB{kb: built}, nil
-	}
-	if e.kb1, err = readKB(snapKB1, "kb1"); err != nil {
-		return nil, err
-	}
-	if e.kb2, err = readKB(snapKB2, "kb2"); err != nil {
-		return nil, err
-	}
-
-	readBlocks := func(id uint64, name string) (*blocking.Collection, error) {
-		b, err := body(id, name)
-		if err != nil {
-			return nil, err
-		}
-		c, err := blocking.ReadBinary(b.Embedded())
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, name, err)
-		}
-		if n1, n2 := c.KBSizes(); n1 != e.kb1.Len() || n2 != e.kb2.Len() {
-			return nil, fmt.Errorf("%w: %s built for KB sizes (%d,%d), snapshot KBs have (%d,%d)",
-				ErrSnapshotCorrupt, name, n1, n2, e.kb1.Len(), e.kb2.Len())
-		}
-		return c, nil
-	}
-	if e.nameBlocks, err = readBlocks(snapNameBlocks, "name-blocks"); err != nil {
-		return nil, err
-	}
-	if e.tokenBlocks, err = readBlocks(snapTokenBlocks, "token-blocks"); err != nil {
-		return nil, err
-	}
-
-	if b, err = body(snapStats, "stats"); err != nil {
-		return nil, err
-	}
-	e.purge.Cutoff1 = b.Int()
-	e.purge.Cutoff2 = b.Int()
-	e.purge.RemovedBlocks = b.Int()
-	e.purge.RemovedComparisons = int64(b.Uvarint())
-	e.nameBlockCount = b.Int()
-	e.tokenBlockCount = b.Int()
-	e.nameComparisons = int64(b.Uvarint())
-	e.tokenComparisons = int64(b.Uvarint())
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: stats: %v", ErrSnapshotCorrupt, err)
-	}
-
-	if b, err = body(snapMatches, "matches"); err != nil {
-		return nil, err
-	}
-	n1, n2 := e.kb1.Len(), e.kb2.Len()
-	e.h1 = readPairs(b, n1, n2)
-	e.h2 = readPairs(b, n1, n2)
-	e.h3 = readPairs(b, n1, n2)
-	e.matches = readPairs(b, n1, n2)
-	e.discardedByH4 = b.Int()
-	if err := b.Err(); err != nil {
-		return nil, fmt.Errorf("%w: matches: %v", ErrSnapshotCorrupt, err)
-	}
-
-	// The prepared and journal sections are optional: pre-substrate /
-	// pre-mutability snapshots load without them.
-	if pb, ok := bodies[snapPrepared]; ok {
-		if err := readPreparedSection(pb, ix); err != nil {
-			return nil, err
-		}
-	}
-	if jb, ok := bodies[snapJournal]; ok {
-		if err := readJournalSection(jb, ix); err != nil {
-			return nil, err
-		}
-	}
-	if sb, ok := bodies[snapSharding]; ok {
-		if err := readShardingSection(sb, ix); err != nil {
-			return nil, err
-		}
-	}
-
-	// Verify the config section's trailing inventory when present: a
-	// bit flip on an optional section's ID would otherwise demote it to
-	// "unknown, skipped".
-	cb := bodies[snapConfig]
-	if cb.More() {
-		n := cb.Int()
-		if cb.Err() == nil && n > 64 {
-			cb.Fail("absurd inventory size %d", n)
-		}
-		for i := 0; i < n && cb.Err() == nil; i++ {
-			id := cb.Uvarint()
-			if _, ok := bodies[id]; !ok && cb.Err() == nil {
-				cb.Fail("inventoried section %d missing", id)
-			}
-		}
-		if err := cb.Err(); err != nil {
-			return nil, fmt.Errorf("%w: config inventory: %v", ErrSnapshotCorrupt, err)
-		}
-	}
-
-	e.buildLookup()
-	return ix, nil
-}
-
 // writeEmbedded streams one nested format (KB or collection) into its
 // own section; the section framing delimits and checksums it.
 func writeEmbedded(bw *binio.Writer, id uint64, write func(io.Writer) error) error {
@@ -629,7 +492,7 @@ func readPairs(b *binio.Reader, n1, n2 int) []eval.Pair {
 		b.Fail("absurd pair count %d", n)
 		return nil
 	}
-	out := make([]eval.Pair, 0, n)
+	out := make([]eval.Pair, 0, b.Capacity(uint64(n), 2))
 	for i := 0; i < n && b.Err() == nil; i++ {
 		e1 := b.Uvarint()
 		e2 := b.Uvarint()
